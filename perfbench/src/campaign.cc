@@ -66,10 +66,14 @@ removeCache(const std::string &path)
     std::remove(pipeline::manifestPath(path).c_str());
 }
 
-/** One campaign: enumeration through the renamed final cache. */
+/**
+ * One campaign: enumeration through the renamed final cache. Returns
+ * its host seconds and sets @p setup_s to those of its set-up, the
+ * enumeration that produces its input before any simulation.
+ */
 double
 campaignOnce(const RunOptions &opts, const std::string &path,
-             Trace &trace, Report &report, size_t &records)
+             Trace &trace, Report &report, size_t &records, double &setup_s)
 {
     removeCache(path);
     auto t0 = Clock::now();
@@ -79,6 +83,7 @@ campaignOnce(const RunOptions &opts, const std::string &path,
         cells = nas::enumerateCells(spaceLimits(opts.tiny), nullptr,
                                     libraryThreads);
     }
+    setup_s = secondsSince(t0);
     pipeline::ShardedBuildOptions o;
     o.threads = libraryThreads;
     o.shards = campaignShards;
@@ -105,6 +110,44 @@ campaignOnce(const RunOptions &opts, const std::string &path,
     return s;
 }
 
+/**
+ * Build, lower, annotate and simulate every cell of @p sample on one
+ * thread, one span per stage call. Returns the pass's host seconds and
+ * sets @p checksum to the sum of the simulated latencies.
+ */
+double
+stagePass(const std::vector<nas::CellSpec> &sample, Trace &trace,
+          double &checksum)
+{
+    std::vector<sim::Compiler> compilers;
+    std::vector<sim::Simulator> simulators;
+    for (const auto &cfg : etpu::arch::allConfigs()) {
+        compilers.emplace_back(cfg);
+        simulators.emplace_back(cfg);
+    }
+    nas::Network net;
+    sim::Program prog;
+    sim::SimScratch scratch;
+    checksum = 0.0;
+    auto t0 = Clock::now();
+    for (size_t i = 0; i < sample.size(); i++) {
+        {
+            auto span = trace.scope("nasbench.buildNetworkInto", i + 1);
+            nas::buildNetworkInto(sample[i], net);
+        }
+        {
+            auto span = trace.scope("tpusim.Compiler::lower", i + 1);
+            sim::Compiler::lower(net, &sample[i], prog);
+        }
+        auto span = trace.scope("tpusim.annotate+Simulator::run", i + 1);
+        for (size_t c = 0; c < simulators.size(); c++) {
+            compilers[c].annotate(net, prog);
+            checksum += simulators[c].run(prog, scratch).latencyMs;
+        }
+    }
+    return secondsSince(t0);
+}
+
 } // namespace
 
 void
@@ -113,34 +156,24 @@ runCampaign(const RunOptions &opts, Trace &trace, Report &report)
     const std::string path = opts.scratchDir + "/campaign.bin";
     const size_t expected = opts.tiny ? 2532 : 423624;
 
-    // Set-up: one validated simulator context per worker, each warmed
-    // on one cell — the per-worker state every campaign worker builds
-    // before its first cell.
-    {
-        std::vector<nas::CellSpec> probe = nas::enumerateCells(
-            spaceLimits(true), nullptr, libraryThreads);
-        std::vector<double> setup;
-        for (int i = 0; i < 25; i++) {
-            auto t0 = Clock::now();
-            std::vector<sim::EvalContext> contexts(libraryThreads);
-            for (size_t w = 0; w < contexts.size(); w++)
-                contexts[w].evaluate(probe[w % probe.size()]);
-            setup.push_back(secondsSince(t0));
-        }
-        Report::setSample(report.endToEnd, "setup_s", setup, "s");
-    }
-
-    std::vector<double> walls;
+    // setup_s is the median over the campaigns of their set-up, the
+    // enumeration; wall_s (campaign_s) the median of whole campaigns.
+    std::vector<double> walls, setups;
     size_t records = 0;
     const size_t min_campaigns = opts.trace ? 1 : 3;
     auto start = Clock::now();
+    Trace off(false);
     while (walls.size() < min_campaigns ||
            secondsSince(start) < opts.seconds) {
-        Trace off(false);
-        walls.push_back(campaignOnce(opts, path, off, report, records));
+        // The traced run's one campaign carries the spans.
+        double setup_s = 0.0;
+        walls.push_back(campaignOnce(opts, path, opts.trace ? trace : off,
+                                     report, records, setup_s));
+        setups.push_back(setup_s);
         if (opts.trace)
             break;
     }
+    Report::setSample(report.endToEnd, "setup_s", setups, "s");
     Report::setSample(report.endToEnd, "wall_s", walls, "s");
     Report::setSample(report.extra, "campaign_s", walls, "s");
     Report::set(report.endToEnd, "peak_rss_mb", peakRssMb(), "MiB");
@@ -159,10 +192,6 @@ runCampaign(const RunOptions &opts, Trace &trace, Report &report)
         return;
     }
 
-    // Traced run: the same campaign with spans, for the overhead.
-    double traced = campaignOnce(opts, path, trace, report, records);
-    Report::set(report.perLayer, "bench.trace_overhead",
-                traced / walls.front() - 1.0, "share");
     Report::set(report.perLayer, "nasbench.enumerate_s",
                 trace.totalSeconds("nasbench.enumerateCells"), "s");
     removeCache(path);
@@ -197,39 +226,23 @@ runCampaign(const RunOptions &opts, Trace &trace, Report &report)
     }
 
     // Per-stage costs on a seeded sample, single-threaded, one span
-    // per call.
+    // per call. The pass runs untraced, then traced, for
+    // bench.trace_overhead; the per-stage times come from the spans.
     etpu::Rng rng(deriveSeed(opts.seed, 7));
     std::vector<nas::CellSpec> sample;
     const size_t sample_n = opts.tiny ? 256 : 4096;
     for (size_t i = 0; i < sample_n; i++)
         sample.push_back(cells[rng.uniformInt(cells.size())]);
     {
-        std::vector<sim::Compiler> compilers;
-        std::vector<sim::Simulator> simulators;
-        for (const auto &cfg : etpu::arch::allConfigs()) {
-            compilers.emplace_back(cfg);
-            simulators.emplace_back(cfg);
-        }
-        nas::Network net;
-        sim::Program prog;
-        sim::SimScratch scratch;
-        double checksum = 0.0;
-        for (size_t i = 0; i < sample.size(); i++) {
-            {
-                auto span = trace.scope("nasbench.buildNetworkInto", i + 1);
-                nas::buildNetworkInto(sample[i], net);
-            }
-            {
-                auto span = trace.scope("tpusim.Compiler::lower", i + 1);
-                sim::Compiler::lower(net, &sample[i], prog);
-            }
-            auto span = trace.scope("tpusim.annotate+Simulator::run", i + 1);
-            for (size_t c = 0; c < simulators.size(); c++) {
-                compilers[c].annotate(net, prog);
-                checksum += simulators[c].run(prog, scratch).latencyMs;
-            }
-        }
-        report.check(checksum > 0.0, "simulated latencies are positive");
+        // A first untraced pass warms the caches for the two timed ones.
+        double warm = 0.0, plain_sum = 0.0, traced_sum = 0.0;
+        stagePass(sample, off, warm);
+        double plain = stagePass(sample, off, plain_sum);
+        double traced = stagePass(sample, trace, traced_sum);
+        report.check(warm > 0.0 && plain_sum == warm && traced_sum == warm,
+                     "simulated latencies differ between stage passes");
+        Report::set(report.perLayer, "bench.trace_overhead",
+                    traced / plain - 1.0, "share");
         double n = static_cast<double>(sample.size());
         Report::set(report.perLayer, "nasbench.build_network_us",
                     trace.totalSeconds("nasbench.buildNetworkInto") / n * 1e6,

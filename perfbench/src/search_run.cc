@@ -34,6 +34,10 @@ const std::vector<search::Objective> objectives = {
     {search::Metric::Accuracy, true},
 };
 
+/** Timed set-ups per untraced run, and the fewest SA+EVO pairs. */
+constexpr int searchSetups = 2;
+constexpr size_t minPairs = 3;
+
 /** The pool, its membership index and the exhaustive true front. */
 struct SearchSetup
 {
@@ -95,6 +99,26 @@ searchPair(const RunOptions &opts, const SearchSetup &s, uint64_t seed,
     return out;
 }
 
+/**
+ * Evaluate every batch of @p batches, one span per call. Returns the
+ * pass's host seconds and appends each batch's cost to @p batch_us.
+ */
+double
+evaluateBatches(search::SimEvaluator &evaluator,
+                const std::vector<std::vector<nas::CellSpec>> &batches,
+                Trace &trace, std::vector<double> &batch_us)
+{
+    std::vector<search::CellMetrics> out(batches.front().size());
+    auto start = Clock::now();
+    for (const std::vector<nas::CellSpec> &batch : batches) {
+        auto t0 = Clock::now();
+        auto span = trace.scope("search.SimEvaluator::evaluateBatch");
+        evaluator.evaluateBatch(batch.data(), batch.size(), out.data());
+        batch_us.push_back(secondsSince(t0) * 1e6);
+    }
+    return secondsSince(start);
+}
+
 } // namespace
 
 void
@@ -103,7 +127,7 @@ runSearch(const RunOptions &opts, Trace &trace, Report &report)
     // Set-up, repeated: enumerate, pool index, exhaustive truth.
     SearchSetup s;
     std::vector<double> setup;
-    const int setups = opts.trace ? 1 : 2;
+    const int setups = opts.trace ? 1 : searchSetups;
     for (int i = 0; i < setups; i++) {
         s = SearchSetup();
         auto t0 = Clock::now();
@@ -118,16 +142,15 @@ runSearch(const RunOptions &opts, Trace &trace, Report &report)
     double recovery[2] = {0.0, 0.0};
     search::SearchStats stats[2];
     auto start = Clock::now();
-    // At least two pairs; another only if it should end within
-    // --seconds.
-    while (walls.size() < 2 ||
+    // At least minPairs pairs; another only if it should end within
+    // --seconds. The traced run makes two: the first with spans, the
+    // second for the identity check.
+    const size_t min_pairs = opts.trace ? 2 : minPairs;
+    Trace off(false);
+    while (walls.size() < min_pairs ||
            secondsSince(start) + walls.back() <= opts.seconds) {
-        // The traced run spans its second pair only; the first is the
-        // untraced reference for bench.trace_overhead.
-        bool spanned = opts.trace && walls.size() == 1;
-        Trace off(false);
         auto t0 = Clock::now();
-        auto results = searchPair(opts, s, seed, spanned ? trace : off);
+        auto results = searchPair(opts, s, seed, walls.empty() ? trace : off);
         walls.push_back(secondsSince(t0));
         for (size_t a = 0; a < 2; a++) {
             report.attempted++;
@@ -146,7 +169,7 @@ runSearch(const RunOptions &opts, Trace &trace, Report &report)
             }
             report.check(!results[a].front.empty(), "empty search front");
         }
-        if (opts.trace && walls.size() == 2)
+        if (opts.trace && walls.size() == min_pairs)
             break;
     }
     Report::setSample(report.endToEnd, "wall_s", walls, "s");
@@ -164,8 +187,6 @@ runSearch(const RunOptions &opts, Trace &trace, Report &report)
     if (!opts.trace)
         return;
 
-    Report::set(report.perLayer, "bench.trace_overhead",
-                walls[1] / walls[0] - 1.0, "share");
     Report::set(report.perLayer, "nasbench.enumerate_s",
                 trace.totalSeconds("nasbench.enumerateCells"), "s");
     Report::set(report.perLayer, "search.pool_index_s",
@@ -174,19 +195,24 @@ runSearch(const RunOptions &opts, Trace &trace, Report &report)
                 trace.totalSeconds("search.exhaustiveFront"), "s");
 
     // Batch evaluation cost, on 24-cell batches drawn from the pool.
+    // After an untraced warm-up pass, the same batches run untraced,
+    // then traced, for bench.trace_overhead; the batch costs come from
+    // the traced pass.
     search::SimEvaluator evaluator(libraryThreads);
+    std::vector<std::vector<nas::CellSpec>> batches(200);
     etpu::Rng rng(deriveSeed(opts.seed, 12));
-    std::vector<double> batch_us;
-    std::vector<nas::CellSpec> batch(24);
-    std::vector<search::CellMetrics> out(batch.size());
-    for (int b = 0; b < 200; b++) {
-        for (nas::CellSpec &c : batch)
-            c = s.pool[rng.uniformInt(s.pool.size())];
-        auto t0 = Clock::now();
-        auto span = trace.scope("search.SimEvaluator::evaluateBatch");
-        evaluator.evaluateBatch(batch.data(), batch.size(), out.data());
-        batch_us.push_back(secondsSince(t0) * 1e6);
+    for (std::vector<nas::CellSpec> &batch : batches) {
+        for (int i = 0; i < 24; i++)
+            batch.push_back(s.pool[rng.uniformInt(s.pool.size())]);
     }
+    std::vector<double> batch_us;
+    evaluateBatches(evaluator, batches, off, batch_us);
+    batch_us.clear();
+    double plain = evaluateBatches(evaluator, batches, off, batch_us);
+    batch_us.clear();
+    double traced = evaluateBatches(evaluator, batches, trace, batch_us);
+    Report::set(report.perLayer, "bench.trace_overhead",
+                traced / plain - 1.0, "share");
     Report::setSample(report.perLayer, "runtime.batch_eval_us", batch_us,
                       "us");
     double per_cell_us = summarize(batch_us).median / 24.0;
@@ -194,7 +220,7 @@ runSearch(const RunOptions &opts, Trace &trace, Report &report)
     uint64_t sims = stats[0].simEvals + stats[1].simEvals;
     uint64_t memo = stats[0].memoHits + stats[1].memoHits;
     double eval_us = per_cell_us * static_cast<double>(sims);
-    double pair_us = walls[1] * 1e6;
+    double pair_us = walls[0] * 1e6;
     Report::set(report.perLayer, "search.eval_us", eval_us, "us");
     Report::set(report.perLayer, "search.driver_us_per_proposal",
                 (pair_us - eval_us) / static_cast<double>(proposals), "us");
